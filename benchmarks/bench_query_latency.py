@@ -12,19 +12,28 @@ transport):
 * ``cloud_fallthrough`` — after fog layer 2 evicted as well, served by the
   cloud with a per-section fog-node filter riding the store's series
   indexes; ``cloud_fallthrough_scan`` is the same question answered by the
-  pre-index all-series scan (``use_indexes = False``), measured in the
-  same run;
+  pre-index all-series scan (``use_indexes = False``);
 * ``scatter_gather`` / ``cloud_scatter_gather`` — a city-wide window
   resolved per section chain and merged across all 73 chains; at the cloud
   the scatter is answered by **one partitioned store pass**;
   ``cloud_scatter_gather_legacy`` is the same scatter through the old
-  engine (one filtered scan per section, no indexes), same run;
+  engine (one filtered scan per section, no indexes);
 * ``memoized_hit`` — the same window twice: the second answer comes from
   the query service's memo, which now shares frozen columns (no per-hit
   copy); ``memoized_hit_adopted`` adds the lazy copy a caller adopting
   the rows via ``result.batch()`` pays — the old per-hit cost;
 * ``summarize`` — the city-wide cloud window folded into constant-size
-  per-category sketches instead of materialized rows.
+  per-category sketches instead of materialized rows.  ``cold_ms`` is the
+  first call after ``invalidate()``; the window then repeats, so the
+  timed calls (``avg_ms``, ``median_ms``) take the cloud segments' counts
+  from the service's segment cache, and ``sketch_cache_hits`` counts the
+  segments they took from it.
+
+Each engine pair (indexed vs scan fall-through, partitioned vs legacy
+scatter) is timed **interleaved**: one query of each engine per
+repetition, switching engines outside the timed region, and the speedup
+ratios compare the two engines' per-query medians.  Timed back to back,
+host speed drifting between the two loops decided the ratio.
 
 Every exact-query scenario asserts the expected serving tier before timing
 — a wrong tier aborts the benchmark rather than recording a mislabelled
@@ -49,6 +58,7 @@ import gc
 import json
 import os
 import pathlib
+import statistics
 import time
 from typing import Callable, Dict
 
@@ -86,51 +96,79 @@ def _set_indexes(client: F2CClient, enabled: bool) -> None:
         store.use_indexes = enabled
 
 
-def _timed_scenario(
-    run_query: Callable[[int], "object"],
+def _timed_scenarios(
+    engines: Dict[str, tuple],
     repetitions: int,
     expect_tiers: tuple,
-) -> Dict[str, object]:
-    """Time *repetitions* queries; assert each is served by *expect_tiers*."""
-    rows = 0
+    rows_of: Callable[[object], int] = len,
+) -> Dict[str, Dict[str, object]]:
+    """Time the engines alternately: one query of each per repetition.
+
+    *engines* maps a scenario name to ``(select, run_query)``: ``select()``
+    switches the deployment to that engine (outside the timed region) and
+    ``run_query(index)`` asks its question.  Alternating puts every engine
+    under the same host drift, and per-query medians drop the odd query a
+    preemption landed in.  Each engine's last answer must be served by
+    *expect_tiers*; an empty *expect_tiers* skips the check (the caller
+    labels the scenario itself, e.g. when ``run_query`` returns an adopted
+    batch rather than a result).
+    """
+    times: Dict[str, list] = {name: [] for name in engines}
+    rows: Dict[str, int] = {name: 0 for name in engines}
+    last: Dict[str, object] = {}
     # GC-stable timing: whatever garbage earlier scenarios (or, in the
     # smoke test, earlier test modules) left behind is collected *outside*
     # the timed region, and the collector is paused inside it.  Otherwise
-    # an ambient generation-2 pass landing inside one engine's loop — a
+    # an ambient generation-2 pass landing inside one engine's queries — a
     # few milliseconds, comparable to a whole small-workload scenario —
     # decides an A/B ratio by accident of heap phase.
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        begin = time.perf_counter()
         for index in range(repetitions):
-            result = run_query(index)
-            rows += len(result)
-        total = time.perf_counter() - begin
+            for name, (select, run_query) in engines.items():
+                select()
+                begin = time.perf_counter()
+                result = run_query(index)
+                times[name].append(time.perf_counter() - begin)
+                rows[name] += rows_of(result)
+                last[name] = result
     finally:
         if was_enabled:
             gc.enable()
-    # Attribution checked outside the timed loop on a fresh call.  An empty
-    # expect_tiers skips the check (the caller labels the scenario itself,
-    # e.g. when run_query returns an adopted batch rather than a result).
-    tiers: list = []
-    if expect_tiers:
-        check = run_query(0)
-        if check.tiers() != expect_tiers:
-            raise RuntimeError(
-                f"scenario expected tiers {expect_tiers}, got {check.tiers()} — "
-                "refusing to record a mislabelled latency"
-            )
-        tiers = list(check.tiers())
-    return {
-        "queries": repetitions,
-        "total_s": total,
-        "avg_ms": (total / repetitions) * 1e3 if repetitions else None,
-        "queries_per_sec": repetitions / total if total else None,
-        "rows_per_query": rows / repetitions if repetitions else None,
-        "tiers": tiers,
-    }
+    scenarios: Dict[str, Dict[str, object]] = {}
+    for name in engines:
+        tiers: tuple = ()
+        if expect_tiers:
+            tiers = last[name].tiers()
+            if tiers != expect_tiers:
+                raise RuntimeError(
+                    f"{name} expected tiers {expect_tiers}, got {tiers} — "
+                    "refusing to record a mislabelled latency"
+                )
+        total = sum(times[name])
+        scenarios[name] = {
+            "queries": repetitions,
+            "total_s": total,
+            "avg_ms": (total / repetitions) * 1e3,
+            "median_ms": statistics.median(times[name]) * 1e3,
+            "queries_per_sec": repetitions / total if total else None,
+            "rows_per_query": rows[name] / repetitions,
+            "tiers": list(tiers),
+        }
+    return scenarios
+
+
+def _timed_scenario(
+    run_query: Callable[[int], object],
+    repetitions: int,
+    expect_tiers: tuple,
+    rows_of: Callable[[object], int] = len,
+) -> Dict[str, object]:
+    """:func:`_timed_scenarios` for one engine, on the deployment as it is."""
+    engines = {"only": (lambda: None, run_query)}
+    return _timed_scenarios(engines, repetitions, expect_tiers, rows_of)["only"]
 
 
 def run_benchmark(
@@ -208,55 +246,60 @@ def run_benchmark(
     for fog2 in system.fog2_nodes():
         fog2.enforce_retention(AFTER_L2_TTL)
     client.queries.invalidate()
-    scenarios["cloud_fallthrough"] = _timed_scenario(
-        section_query(0.2), repetitions, ("cloud",)
-    )
-    scenarios["cloud_scatter_gather"] = _timed_scenario(
-        city_query(0.2), scatter_reps, ("cloud",)
-    )
-    scenarios["cloud_scatter_gather"]["sections"] = sections
 
-    # The same cloud questions through the old engine, same run: all-series
+    # Each cloud question against the old engine, interleaved: all-series
     # scans instead of index candidates, one filtered sub-query per section
-    # instead of the partitioned pass.
-    _set_indexes(client, False)
-    client.queries.partitioned_scatter = False
-    client.queries.invalidate()
-    scenarios["cloud_fallthrough_scan"] = _timed_scenario(
-        section_query(0.3), repetitions, ("cloud",)
+    # instead of the partitioned pass.  Distinct salts keep the engines off
+    # each other's memoized windows.
+    def engine(indexed: bool):
+        def select() -> None:
+            _set_indexes(client, indexed)
+            client.queries.partitioned_scatter = indexed
+
+        return select
+
+    scenarios.update(
+        _timed_scenarios(
+            {
+                "cloud_fallthrough": (engine(True), section_query(0.2)),
+                "cloud_fallthrough_scan": (engine(False), section_query(0.3)),
+            },
+            repetitions,
+            ("cloud",),
+        )
     )
-    scenarios["cloud_scatter_gather_legacy"] = _timed_scenario(
-        city_query(0.3), scatter_reps, ("cloud",)
+    scenarios.update(
+        _timed_scenarios(
+            {
+                "cloud_scatter_gather": (engine(True), city_query(0.2)),
+                "cloud_scatter_gather_legacy": (engine(False), city_query(0.3)),
+            },
+            scatter_reps,
+            ("cloud",),
+        )
     )
-    scenarios["cloud_scatter_gather_legacy"]["sections"] = sections
-    _set_indexes(client, True)
-    client.queries.partitioned_scatter = True
+    for name in ("cloud_scatter_gather", "cloud_scatter_gather_legacy"):
+        scenarios[name]["sections"] = sections
+    engine(True)()
     client.queries.invalidate()
 
     # Approximate city-wide answer: constant-size sketches instead of rows.
-    summarize_reps = max(5, repetitions // 20)
-    rows_total = 0
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        begin = time.perf_counter()
-        for _ in range(summarize_reps):
-            summary = client.summarize(since=0.0, until=3600.0)
-            rows_total += summary.rows
-        total = time.perf_counter() - begin
-    finally:
-        if was_enabled:
-            gc.enable()
-    scenarios["summarize"] = {
-        "queries": summarize_reps,
-        "total_s": total,
-        "avg_ms": (total / summarize_reps) * 1e3,
-        "queries_per_sec": summarize_reps / total if total else None,
-        "rows_per_query": rows_total / summarize_reps,
-        "tiers": list(summary.tiers()),
-        "summary_bytes": summary.size_bytes(),
-    }
+    # The first call after invalidate() is cold; the repeats of the same
+    # window take the cloud segments' counts from the segment cache.
+    def city_summary(_index: int):
+        return client.summarize(since=0.0, until=3600.0)
+
+    def summary_rows(summary) -> int:
+        return summary.rows
+
+    cold = _timed_scenario(city_summary, 1, ("cloud",), summary_rows)
+    hits_before = client.queries.sketch_cache_hits
+    summary_reps = max(5, repetitions // 20)
+    summarize = _timed_scenario(city_summary, summary_reps, ("cloud",), summary_rows)
+    summarize["cold_ms"] = cold["avg_ms"]
+    summarize["sketch_cache_hits"] = client.queries.sketch_cache_hits - hits_before
+    summarize["summary_bytes"] = city_summary(0).size_bytes()
+    scenarios["summarize"] = summarize
 
     nearest = scenarios["nearest_tier_hit"]["avg_ms"]
     cloud = scenarios["cloud_fallthrough"]["avg_ms"]
@@ -265,11 +308,12 @@ def run_benchmark(
         "cloud_fallthrough_vs_nearest": (cloud / nearest) if nearest else None,
         "memoized_vs_nearest": (memo_ms / nearest) if nearest else None,
         "indexed_speedup": (
-            scenarios["cloud_fallthrough_scan"]["avg_ms"] / cloud if cloud else None
+            scenarios["cloud_fallthrough_scan"]["median_ms"]
+            / scenarios["cloud_fallthrough"]["median_ms"]
         ),
         "partitioned_speedup": (
-            scenarios["cloud_scatter_gather_legacy"]["avg_ms"]
-            / scenarios["cloud_scatter_gather"]["avg_ms"]
+            scenarios["cloud_scatter_gather_legacy"]["median_ms"]
+            / scenarios["cloud_scatter_gather"]["median_ms"]
         ),
         "cloud_scatter_vs_fog1_scatter": (
             scenarios["cloud_scatter_gather"]["avg_ms"]

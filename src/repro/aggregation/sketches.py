@@ -7,13 +7,18 @@ provided — a count-min sketch for per-key frequency estimation and a
 probabilistic distinct counter (a simplified Flajolet–Martin / HyperLogLog
 scheme) — plus an :class:`AggregationTechnique` wrapper that replaces a
 batch by a constant-size sketch summary.
+
+Both sketches are built count-first (:func:`sketches_from_counts`): rows
+are reduced to exact per-``(category, key)`` counts, which are decomposable
+across batches and segments, and each distinct key is then hashed once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Hashable, List, Optional
+from collections import Counter
+from typing import Dict, Hashable, List, Mapping, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.aggregation.base import AggregationResult, AggregationTechnique
@@ -77,10 +82,8 @@ class CountMinSketch:
     def update(self, other: "CountMinSketch") -> None:
         """Fold *other* into this sketch in place (cell-wise sum).
 
-        The merge primitive decomposable aggregation relies on: folding a
-        cached per-segment sketch into an accumulator costs one bulk pass
-        over the table instead of re-adding every row the segment held.
-        *other* is not modified.
+        The in-place step behind :meth:`merge`, for callers that fold many
+        sketches into one accumulator.  *other* is not modified.
         """
         if (self.width, self.depth) != (other.width, other.depth):
             raise ConfigurationError("cannot merge sketches with different dimensions")
@@ -141,7 +144,10 @@ class DistinctCounter:
         return merged
 
     def update(self, other: "DistinctCounter") -> None:
-        """Fold *other* into this counter in place (register-wise maxima)."""
+        """Fold *other* into this counter in place (register-wise maxima).
+
+        The in-place step behind :meth:`merge`.  *other* is not modified.
+        """
         if self.precision != other.precision:
             raise ConfigurationError("cannot merge counters with different precision")
         self._registers[:] = [
@@ -151,6 +157,33 @@ class DistinctCounter:
     def size_bytes(self) -> int:
         """Approximate serialised size (1 byte per register)."""
         return self._register_count
+
+
+def sketches_from_counts(
+    counts: Mapping[Tuple[str, Hashable], int],
+    width: int,
+    depth: int,
+    precision: int,
+) -> Tuple[Dict[str, CountMinSketch], Dict[str, DistinctCounter]]:
+    """One count-min sketch and one distinct counter per category, from counts.
+
+    *counts* maps ``(category, key)`` to how many rows carried *key* in
+    *category*.  Count-min cells are sums and distinct-counter registers
+    are maxima, so adding each distinct key once with its count yields
+    tables, totals and registers bit-identical to adding every row — at
+    ``depth + 1`` hashes per distinct key instead of per row.  Categories
+    appear in the order of their first key in *counts*.
+    """
+    frequency: Dict[str, CountMinSketch] = {}
+    distinct: Dict[str, DistinctCounter] = {}
+    for (category, key), count in counts.items():
+        sketch = frequency.get(category)
+        if sketch is None:
+            sketch = frequency[category] = CountMinSketch(width, depth)
+            distinct[category] = DistinctCounter(precision)
+        sketch.add(key, count)
+        distinct[category].add(key)
+    return frequency, distinct
 
 
 class SketchSummaryAggregation(AggregationTechnique):
@@ -171,14 +204,15 @@ class SketchSummaryAggregation(AggregationTechnique):
         self.last_distinct_counters: dict[str, DistinctCounter] = {}
 
     def apply(self, batch: ReadingBatch) -> AggregationResult:
-        frequency: dict[str, CountMinSketch] = {}
-        distinct: dict[str, DistinctCounter] = {}
+        counts: Counter = Counter()
         latest_timestamp: dict[str, float] = {}
         for reading in batch:
             category = reading.category
-            frequency.setdefault(category, CountMinSketch(self.width, self.depth)).add(reading.sensor_id)
-            distinct.setdefault(category, DistinctCounter(self.precision)).add(reading.sensor_id)
+            counts[category, reading.sensor_id] += 1
             latest_timestamp[category] = max(latest_timestamp.get(category, 0.0), reading.timestamp)
+        frequency, distinct = sketches_from_counts(
+            counts, self.width, self.depth, self.precision
+        )
 
         output = ReadingBatch()
         for category in sorted(frequency):

@@ -60,11 +60,11 @@ would experience it.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.aggregation.sketches import CountMinSketch, DistinctCounter
+from repro.aggregation.sketches import CountMinSketch, DistinctCounter, sketches_from_counts
 from repro.common.errors import RoutingError
 from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
 
@@ -203,9 +203,10 @@ class QueryService:
     _CACHE_ENTRY_OVERHEAD = 512
     _CACHE_SOURCE_COST = 64
 
-    #: Per-segment sketch cache bound (segments, LRU).  Each entry is a few
-    #: KB (one sketch pair per category in the segment), so the cap keeps
-    #: the cache around a MB at the default sketch sizes.
+    #: Per-segment count cache bound (segments, LRU).  Each entry holds one
+    #: exact count per distinct ``(category, sensor_id)`` in the segment,
+    #: so its size follows the segment's active sensors, not the sketch
+    #: sizes.
     _SKETCH_CACHE_MAX_SEGMENTS = 256
 
     def __init__(
@@ -224,10 +225,10 @@ class QueryService:
         #: assignment (resolved via the broad tiers' series index or the
         #: probe loop); invalidated together with the window memo.
         self._sensor_chain: Dict[str, str] = {}
-        #: (node, window, fog1, category, sketch params) -> (rows, pairs):
-        #: the folded sketches of one synced broad-tier segment, reused by
-        #: :meth:`summarize` instead of re-adding the segment's rows.
-        self._sketch_cache: "OrderedDict[tuple, Tuple[int, Dict[str, tuple]]]" = OrderedDict()
+        #: (node, window, fog1, category) -> (rows, (category, sensor_id)
+        #: counts): one synced broad-tier segment, reused by
+        #: :meth:`summarize` instead of re-reading the segment's rows.
+        self._sketch_cache: "OrderedDict[tuple, Tuple[int, Counter]]" = OrderedDict()
         self.sketch_cache_hits = 0
         #: ``False`` answers city-wide scatters with one filtered sub-query
         #: per section chain (the pre-partitioned behaviour); kept as an
@@ -396,50 +397,54 @@ class QueryService:
         """Approximate (scope, window) as constant-size per-category sketches.
 
         Resolves tiers exactly like :meth:`query` (same chain walk, same
-        partitioned scatter, same attribution) but folds each tier's rows
-        into a count-min sketch + distinct counter per category instead of
-        accumulating columns, so the answer stays a few KB however wide
-        the window is.  *width*/*depth*/*precision* size the sketches (see
+        partitioned scatter, same attribution), but reduces each tier's
+        rows to exact ``(category, sensor_id)`` counts instead of
+        accumulating columns.  The counts are summed across segments and
+        the sketches built once at the end
+        (:func:`~repro.aggregation.sketches.sketches_from_counts`), so the
+        answer stays a few KB however wide the window is and each distinct
+        sensor is hashed once per category, not once per row.
+        *width*/*depth*/*precision* size the sketches (see
         :mod:`repro.aggregation.sketches`).  Whole summaries are not
-        memoized, but each synced broad-tier segment's folded sketch pair
-        is (until :meth:`invalidate`): a repeated city-wide summary merges
-        one cached constant-size pair per segment instead of re-adding
-        every cloud row.
+        memoized, but each synced broad-tier segment's counts are (until
+        :meth:`invalidate`), whatever sketch size a later call asks for.
         """
         scatter = section_id is None
         plans = self._chain_plans(since, until, None, section_id)
-        parts = (
-            self._partitioned_parts(plans, category)
-            if scatter and self.partitioned_scatter
-            else None
-        )
+        parts = None
+        if scatter and self.partitioned_scatter:
+            # Cached broad-tier segments need no rows: only the misses join
+            # the partitioned store pass, so a warm summary skips it.
+            cache = self._sketch_cache
+            misses = [
+                (fog1, [
+                    (node, tier, sub_since, sub_until)
+                    for node, tier, sub_since, sub_until in slices
+                    if self._count_key(fog1, node, sub_since, sub_until, category)
+                    not in cache
+                ])
+                for fog1, slices in plans
+            ]
+            parts = self._partitioned_parts(misses, category)
 
-        frequency: Dict[str, CountMinSketch] = {}
-        distinct: Dict[str, DistinctCounter] = {}
+        counts: Counter = Counter()
         sources: List[TierSlice] = []
         rows_by_tier: Dict[str, int] = {}
         total = 0
         for fog1, slices in plans:
             for node, tier, sub_since, sub_until in slices:
-                rows, pairs = self._segment_sketches(
-                    node, tier, fog1, sub_since, sub_until, category,
-                    parts, width, depth, precision,
+                rows, segment_counts = self._segment_counts(
+                    node, tier, fog1, sub_since, sub_until, category, parts
                 )
                 if rows:
                     total += rows
                     rows_by_tier[tier] = rows_by_tier.get(tier, 0) + rows
-                    for row_category, (seg_sketch, seg_counter) in pairs.items():
-                        sketch = frequency.get(row_category)
-                        if sketch is None:
-                            sketch = frequency[row_category] = CountMinSketch(width, depth)
-                            distinct[row_category] = DistinctCounter(precision)
-                        # Decomposable fold: one bulk merge per segment
-                        # instead of one sketch add per row.  The cached
-                        # pair is never mutated, only folded from.
-                        sketch.update(seg_sketch)
-                        distinct[row_category].update(seg_counter)
+                    # Reads the (possibly cached) segment counts, never
+                    # mutates them.
+                    counts.update(segment_counts)
                 if rows or not scatter:
                     sources.append(TierSlice(node.node_id, tier, fog1.section_id, rows))
+        frequency, distinct = sketches_from_counts(counts, width, depth, precision)
 
         self.summaries_served += 1
         self._account(sources, rows_by_tier)
@@ -453,7 +458,7 @@ class QueryService:
             distinct=distinct,
         )
 
-    def _segment_sketches(
+    def _segment_counts(
         self,
         node,
         tier: str,
@@ -462,26 +467,18 @@ class QueryService:
         sub_until: float,
         category: Optional[str],
         parts: Optional[Dict[tuple, ReadingColumns]],
-        width: int,
-        depth: int,
-        precision: int,
-    ) -> Tuple[int, Dict[str, tuple]]:
-        """One chain segment's rows folded into per-category sketch pairs.
+    ) -> Tuple[int, Counter]:
+        """One chain segment's row count and exact ``(category, sensor_id)`` counts.
 
         Broad-tier (fog layer 2 / cloud) segments are cached by
-        ``(node, window, chain, category, sketch params)``: their contents
-        only change when data moves, at which point :meth:`invalidate`
-        drops the cache, so a repeated :meth:`summarize` over a synced
-        window folds one cached constant-size pair per segment instead of
-        re-adding every row.  Fog layer-1 segments are always computed
-        fresh (their stores churn with every ingest round).
+        ``(node, window, chain, category)``: their contents only change
+        when data moves, at which point :meth:`invalidate` drops the cache.
+        Fog layer-1 segments are always counted fresh (their stores churn
+        with every ingest round).
         """
         key = None
         if tier != TIER_FOG_1:
-            key = (
-                node.node_id, sub_since, sub_until, fog1.node_id,
-                category, width, depth, precision,
-            )
+            key = self._count_key(fog1, node, sub_since, sub_until, category)
             cached = self._sketch_cache.get(key)
             if cached is not None:
                 self._sketch_cache.move_to_end(key)
@@ -494,22 +491,17 @@ class QueryService:
         )
         if part is None:
             part = self._query_at(node, tier, fog1, sub_since, sub_until, None, category)
-        rows = len(part)
-        pairs: Dict[str, tuple] = {}
-        for sensor_id, row_category in zip(part.sensor_ids, part.categories):
-            pair = pairs.get(row_category)
-            if pair is None:
-                pair = pairs[row_category] = (
-                    CountMinSketch(width, depth),
-                    DistinctCounter(precision),
-                )
-            pair[0].add(sensor_id)
-            pair[1].add(sensor_id)
+        entry = (len(part), Counter(zip(part.categories, part.sensor_ids)))
         if key is not None:
-            self._sketch_cache[key] = (rows, pairs)
+            self._sketch_cache[key] = entry
             while len(self._sketch_cache) > self._SKETCH_CACHE_MAX_SEGMENTS:
                 self._sketch_cache.popitem(last=False)
-        return rows, pairs
+        return entry
+
+    @staticmethod
+    def _count_key(fog1, node, sub_since: float, sub_until: float, category) -> tuple:
+        """The segment-count cache key of one chain slice."""
+        return (node.node_id, sub_since, sub_until, fog1.node_id, category)
 
     # ------------------------------------------------------------------ #
     # Resolution internals

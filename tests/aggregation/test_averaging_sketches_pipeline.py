@@ -113,7 +113,7 @@ class TestCountMinSketch:
 
     def test_update_matches_row_wise_adds(self):
         # Folding per-segment sketches must equal adding every row directly
-        # (the decomposability summarize()'s segment cache relies on).
+        # (the mergeability that makes the sketches decomposable).
         direct = CountMinSketch(width=128, depth=4)
         seg_a = CountMinSketch(width=128, depth=4)
         seg_b = CountMinSketch(width=128, depth=4)
@@ -201,6 +201,25 @@ class TestSketchSummaryAggregation:
         assert result.output_bytes < batch.total_bytes
         energy_summary = next(r for r in result.batch if r.category == "energy")
         assert energy_summary.value == pytest.approx(500, rel=0.2)
+
+
+    def test_hashes_each_distinct_key_once(self, monkeypatch):
+        from repro.aggregation import sketches
+
+        calls = []
+        real = sketches._hash64
+        monkeypatch.setattr(
+            sketches, "_hash64", lambda value, seed: calls.append(value) or real(value, seed)
+        )
+        # 60 rows, 5 distinct (category, sensor) keys.
+        batch = ReadingBatch(
+            [make_reading(sensor_id=f"s{i % 3}", timestamp=float(i)) for i in range(30)]
+            + [make_reading(sensor_id=f"s{i % 2}", category="noise") for i in range(30)]
+        )
+        aggregation = SketchSummaryAggregation()
+        aggregation.apply(batch)
+        assert len(calls) == (aggregation.depth + 1) * 5
+        assert aggregation.last_frequency_sketches["energy"].estimate("s0") >= 10
 
 
 class TestAggregationPipeline:

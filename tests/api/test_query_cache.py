@@ -278,22 +278,26 @@ class TestHonestCosting:
         assert 0 < small.memory_bytes() < large.memory_bytes()
 
 
+def _to_broad_tiers(client):
+    """Sync upward, then drop the fog L1 copies so summaries must be served
+    from the (cacheable) broad tiers."""
+    client.synchronise(now=500.0)
+    for fog1 in client.system.fog1_nodes():
+        fog1.storage.store.clear()
+        client.system.merge_fog1_stats({fog1.node_id: {"stored_readings": 0}})
+    client.queries.invalidate()
+
+
 class TestSketchSegmentCache:
-    """summarize() folds cached per-segment sketch pairs on broad tiers."""
+    """summarize() sums cached per-segment counts on broad tiers."""
 
     def _broad_tier_client(self, small_city, small_catalog):
-        # Seed, sync upward, then drop the fog L1 copies so summaries must
-        # be served from the (cacheable) broad tiers.
         client = _client(small_city, small_catalog)
         _seed(client, count=12)
-        client.synchronise(now=500.0)
-        for fog1 in client.system.fog1_nodes():
-            fog1.storage.store.clear()
-            client.system.merge_fog1_stats({fog1.node_id: {"stored_readings": 0}})
-        client.queries.invalidate()
+        _to_broad_tiers(client)
         return client
 
-    def test_warm_summaries_fold_identical_cached_sketches(
+    def test_warm_summaries_build_identical_sketches(
         self, small_city, small_catalog
     ):
         client = self._broad_tier_client(small_city, small_catalog)
@@ -304,7 +308,7 @@ class TestSketchSegmentCache:
         assert service.sketch_cache_hits == 0
         warm = client.summarize(since=0.0, until=1_000.0)
         assert service.sketch_cache_hits > 0
-        # The folded result is bit-identical to the cold per-row pass.
+        # Sketches built from the cached counts equal the cold pass bit for bit.
         assert warm.rows == cold.rows and warm.rows_by_tier == cold.rows_by_tier
         assert set(warm.frequency) == set(cold.frequency)
         for category, sketch in cold.frequency.items():
@@ -312,6 +316,27 @@ class TestSketchSegmentCache:
             assert warm.distinct[category]._registers == (
                 cold.distinct[category]._registers
             )
+
+    def test_warm_scatter_summary_skips_the_store_pass(
+        self, small_city, small_catalog, monkeypatch
+    ):
+        from repro.storage.timeseries import TimeSeriesStore
+
+        client = self._broad_tier_client(small_city, small_catalog)
+        passes = []
+        real = TimeSeriesStore.query_window_partitioned
+
+        def counting(store, *args, **kwargs):
+            passes.append(store)
+            return real(store, *args, **kwargs)
+
+        monkeypatch.setattr(TimeSeriesStore, "query_window_partitioned", counting)
+        cold = client.summarize(since=0.0, until=1_000.0)
+        assert passes  # the cold scatter reads its rows in one partitioned pass
+        del passes[:]
+        warm = client.summarize(since=0.0, until=1_000.0)
+        assert passes == []  # every broad segment came from the cache
+        assert warm.rows == cold.rows and warm.sources == cold.sources
 
     def test_fog1_segments_are_not_cached(self, small_city, small_catalog):
         # Fog L1 contents churn with every ingest; only the broad tiers —
@@ -339,6 +364,72 @@ class TestSketchSegmentCache:
         for i in range(8):
             client.summarize(since=0.0, until=900.0 + i)
         assert len(service._sketch_cache) <= 2
+
+
+class TestSummarizeHashWork:
+    """summarize() hashes once per distinct (category, sensor), not per row."""
+
+    def _seed_repeating(self, client):
+        # R = 22 rows over K = 6 distinct keys: four energy sensors report
+        # four times each, and two of the same ids report three times as
+        # traffic (a distinct key per category).
+        readings = [
+            make_reading(sensor_id=f"c-{i}", timestamp=100.0 + 10 * t + i)
+            for t in range(4)
+            for i in range(4)
+        ] + [
+            make_reading(
+                sensor_id=f"c-{i}",
+                sensor_type="traffic",
+                category="urban",
+                timestamp=150.0 + 10 * t + i,
+            )
+            for t in range(3)
+            for i in range(2)
+        ]
+        client.ingest(readings, now=200.0, default_section="d-01/s-01")
+        return len(readings), len({(r.category, r.sensor_id) for r in readings})
+
+    @staticmethod
+    def _count_hashes(monkeypatch):
+        from repro.aggregation import sketches
+
+        calls = []
+        real = sketches._hash64
+
+        def counting(value, seed):
+            calls.append(value)
+            return real(value, seed)
+
+        monkeypatch.setattr(sketches, "_hash64", counting)
+        return calls
+
+    def test_fog1_summary_hashes_each_distinct_key_once(
+        self, small_city, small_catalog, monkeypatch
+    ):
+        client = _client(small_city, small_catalog)
+        rows, keys = self._seed_repeating(client)
+        calls = self._count_hashes(monkeypatch)
+        summary = client.summarize(since=0.0, until=1_000.0)
+        assert summary.rows == rows == 22
+        assert summary.tiers() == ("fog_layer_1",)
+        # depth (4) count-min hashes + 1 distinct-counter hash per key.
+        assert len(calls) == 5 * keys == 30
+
+    def test_broad_tier_summaries_cold_and_warm(
+        self, small_city, small_catalog, monkeypatch
+    ):
+        client = _client(small_city, small_catalog)
+        rows, keys = self._seed_repeating(client)
+        _to_broad_tiers(client)
+        calls = self._count_hashes(monkeypatch)
+        cold = client.summarize(since=0.0, until=1_000.0)
+        assert cold.rows == rows and "fog_layer_1" not in cold.tiers()
+        assert len(calls) == 5 * keys
+        del calls[:]
+        client.summarize(since=0.0, until=1_000.0)
+        assert client.queries.sketch_cache_hits > 0
+        assert len(calls) == 5 * keys
 
 
 class TestSensorRouting:

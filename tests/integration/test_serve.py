@@ -47,11 +47,38 @@ def golden_digest():
     return run_workload(ShardedWorkload.golden()).cloud_digest()
 
 
-def query_forever(handle, counts, stop=None):
-    """A client thread: hammer the live service until the loop finishes."""
+def query_forever(handle, counts, stop=None, attached=None):
+    """A client thread: hammer the live service until the loop finishes.
+
+    With *attached* (a :class:`threading.Barrier`) the client waits there
+    after its first answer, so the serve loop can hold round 0 until every
+    client is querying.
+    """
     while handle.running and (stop is None or not stop.is_set()):
         result = handle.submit_query()
         counts.append(len(result))
+        if attached is not None:
+            attached.wait(timeout=60)
+            attached = None
+
+
+class BarrierClock(VirtualClock):
+    """A virtual clock whose first sleep waits on *attached*.
+
+    The serve loop sleeps once before every round, round 0 included, and
+    outside the serve lock, so the first sleep holds round 0 back until
+    every client passed the barrier.
+    """
+
+    def __init__(self, attached, **kwargs):
+        super().__init__(**kwargs)
+        self._attached = attached
+
+    def sleep(self, seconds):
+        if self._attached is not None:
+            self._attached.wait(timeout=60)
+            self._attached = None
+        return super().sleep(seconds)
 
 
 # --------------------------------------------------------------------------- #
@@ -59,10 +86,14 @@ def query_forever(handle, counts, stop=None):
 # --------------------------------------------------------------------------- #
 class TestVirtualClockDeterminism:
     def test_serve_reproduces_run_digest_under_concurrent_load(self, golden_digest):
-        handle = serve(ShardedWorkload.golden(), clock=VirtualClock(seed=7))
+        # Round 0 lands only after every client answered once: a
+        # virtual-clock run can otherwise finish before a client thread
+        # made its first query.
         counts_per_client = [[] for _ in range(4)]
+        attached = threading.Barrier(len(counts_per_client) + 1)
+        handle = serve(ShardedWorkload.golden(), clock=BarrierClock(attached, seed=7))
         clients = [
-            threading.Thread(target=query_forever, args=(handle, counts))
+            threading.Thread(target=query_forever, args=(handle, counts, None, attached))
             for counts in counts_per_client
         ]
         for thread in clients:
